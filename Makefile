@@ -99,13 +99,16 @@ lint-parity:
 staticcheck-version:
 	@echo $(STATICCHECK_VERSION)
 
-# Short coverage-guided runs of every codec fuzz target, seeded from the
-# committed corpora under testdata/fuzz/ (the CI fuzz-smoke job).
+# Short coverage-guided runs of every codec fuzz target and of the bucket
+# keystream differential (amd64 kernel vs generic loop vs cipher.NewCTR),
+# seeded from the committed corpora under testdata/fuzz/ (the CI
+# fuzz-smoke job).
 fuzz-smoke:
 	go test ./internal/frame -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=30s
 	go test ./internal/frame -run='^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=30s
 	go test ./internal/bucketwire -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=30s
 	go test ./internal/bucketwire -run='^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=30s
+	go test ./internal/crypt -run='^$$' -fuzz='^FuzzPad$$' -fuzztime=30s
 
 fmt:
 	gofmt -s -w .

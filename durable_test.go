@@ -2,6 +2,7 @@ package freecursive
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"freecursive/internal/backend"
 	"freecursive/internal/backend/bhoram"
 	"freecursive/internal/core"
+	"freecursive/internal/crypt"
 )
 
 // payload derives a distinct, non-zero block body for an address.
@@ -324,6 +326,48 @@ func TestSnapshotRefusesMismatchedConfig(t *testing.T) {
 	if _, err := Resume(bad, bytes.NewReader(snap.Bytes())); err == nil {
 		t.Fatal("resume with mismatched backend kind should fail")
 	}
+}
+
+// TestResumeRefusesSeedPastIVField: the bucket IV keeps 48 bits of the
+// global seed register, so a snapshot whose register is at or past 2^48
+// would reseal under pads already used (§6.4). Resume must refuse it, and
+// still accept the largest register the IV can hold.
+func TestResumeRefusesSeedPastIVField(t *testing.T) {
+	forEachBackend(t, Config{Scheme: PIC, Blocks: 1 << 10, Seed: 19}, func(t *testing.T, cfg Config) {
+		o, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeAll(t, o, 8)
+		var buf bytes.Buffer
+		if err := o.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		o.Close()
+		var snap core.Snapshot
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		withSeed := func(seed uint64) *bytes.Reader {
+			snap.Backends[0].GlobalSeed = seed
+			b, err := json.Marshal(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bytes.NewReader(b)
+		}
+		for _, seed := range []uint64{crypt.SeedLimit, crypt.SeedLimit + 1, 1<<64 - 1} {
+			if o, err := Resume(cfg, withSeed(seed)); err == nil {
+				o.Close()
+				t.Fatalf("resume accepted global seed %#x", seed)
+			}
+		}
+		o, err = Resume(cfg, withSeed(crypt.SeedLimit-1))
+		if err != nil {
+			t.Fatalf("resume refused global seed 2^48-1: %v", err)
+		}
+		o.Close()
+	})
 }
 
 // TestSnapshotRejectsLightweight: the accounting backend has no real tree

@@ -5,6 +5,7 @@ import (
 
 	"freecursive/internal/backend"
 	"freecursive/internal/backend/bhoram"
+	"freecursive/internal/crypt"
 	"freecursive/internal/plb"
 	"freecursive/internal/stash"
 	"freecursive/internal/stats"
@@ -175,6 +176,11 @@ func (s *System) Restore(snap *Snapshot) error {
 	}
 
 	for i, bs := range snap.Backends {
+		if bs.GlobalSeed >= crypt.SeedLimit {
+			// The IV keeps 48 bits of seed: a larger register would reseal
+			// under pads already used (§6.4).
+			return fmt.Errorf("core: snapshot backend %d global seed %#x is not below 2^48", i, bs.GlobalSeed)
+		}
 		switch p := s.Backends[i].(type) {
 		case *backend.PathORAM:
 			if bs.BucketHash != nil {

@@ -8,6 +8,17 @@
 //     the per-bucket-seed scheme of [26] and the global-seed scheme that
 //     fixes the one-time-pad replay attack (§6.4).
 //
+// The bucket IV holds the bucket ID and the seed in 48 bits each (see
+// setIV), so the seed space is SeedLimit = 2^48: under SeedGlobal one
+// controller key can seal at most 2^48 buckets before pads would repeat.
+// Durable controllers start the register at a random value below 2^47,
+// which leaves at least 2^47 seals, and snapshot restore refuses a
+// register at or past SeedLimit. On amd64 CPUs with AES-NI the keystream
+// comes from a pipelined kernel copied from the Go toolchain
+// (ctr_amd64.s); elsewhere from a one-block-at-a-time loop. Both produce
+// cipher.NewCTR's bytes under the same IV, so the sealed format does not
+// depend on which one ran.
+//
 // Everything here runs inside the trusted controller on secret inputs
 // (addresses, counters, key material), so the package is marked oblivious:
 // the obliv analyzer rejects control flow or indexing that depends on
@@ -192,6 +203,7 @@ func (s SeedScheme) String() string {
 // scheme, the bucket ID.
 type BucketCipher struct {
 	block      cipher.Block
+	enc        [44]uint32 // AES-128 round keys for the amd64 kernel
 	scheme     SeedScheme
 	globalSeed uint64 // next seed for SeedGlobal
 	// iv and ks are the CTR counter block and keystream scratch. They live
@@ -204,6 +216,11 @@ type BucketCipher struct {
 // SeedBytes is the plaintext seed prefix length of every sealed bucket.
 const SeedBytes = 8
 
+// SeedLimit bounds the seeds and bucket IDs the IV can hold: both are
+// truncated to 48 bits, so a value at or past SeedLimit repeats the pad of
+// a smaller one.
+const SeedLimit = 1 << 48
+
 // NewBucketCipher builds a bucket cipher from a 16-byte AES key.
 func NewBucketCipher(key []byte, scheme SeedScheme) (*BucketCipher, error) {
 	if len(key) != 16 {
@@ -213,7 +230,9 @@ func NewBucketCipher(key []byte, scheme SeedScheme) (*BucketCipher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BucketCipher{block: b, scheme: scheme, globalSeed: 1}, nil
+	bc := &BucketCipher{block: b, scheme: scheme, globalSeed: 1}
+	bc.expandKey(key)
+	return bc, nil
 }
 
 // Scheme returns the seed scheme in use.
@@ -230,25 +249,38 @@ func (bc *BucketCipher) SetGlobalSeed(v uint64) { bc.globalSeed = v }
 
 //oram:hotpath
 func (bc *BucketCipher) pad(bucketID, seed uint64, body []byte, out []byte) {
-	// IV layout: bucketID (48 bits) || seed (48 bits) || chunk counter (32
-	// bits, advanced across the body exactly as cipher.NewCTR would). For
-	// the global-seed scheme the bucket ID is deliberately excluded:
-	// freshness comes from the monotonic controller counter alone (§6.4).
-	// Seeds and bucket IDs beyond 2^48 are unreachable in simulation.
-	//
-	// The keystream loop is hand-rolled instead of using cipher.NewCTR so
-	// the per-bucket seal/open on the ORAM hot path does not allocate a
-	// stream object per bucket; TestPadMatchesStdlibCTR pins the output to
-	// the stdlib's, byte for byte, so on-disk buckets stay compatible.
+	bc.setIV(bucketID, seed)
+	bc.xorKeyStream(body, out)
+}
+
+// setIV loads the CTR counter block for one bucket: bucketID (48 bits) ||
+// seed (48 bits) || chunk counter (32 bits, advanced across the body
+// exactly as cipher.NewCTR would). For the global-seed scheme the bucket ID
+// is deliberately excluded: freshness comes from the monotonic controller
+// counter alone (§6.4). Both fields are truncated to 48 bits; see the
+// package doc for the seal budget that bound sets.
+func (bc *BucketCipher) setIV(bucketID, seed uint64) {
 	if bc.scheme == SeedGlobal {
 		bucketID = 0
 	}
-	iv, ks := &bc.iv, &bc.ks
+	iv := &bc.iv
 	putUint48(iv[0:6], bucketID)
 	putUint48(iv[6:12], seed)
 	for i := 12; i < 16; i++ {
 		iv[i] = 0
 	}
+}
+
+// xorGeneric is the one-block-at-a-time keystream loop: the only path on
+// CPUs without the amd64 kernel, and the reference the kernel is tested
+// against. It is hand-rolled instead of using cipher.NewCTR so the
+// per-bucket seal/open does not allocate a stream object per bucket;
+// TestPadMatchesStdlibCTR pins pad's output to the stdlib's, byte for
+// byte, so on-disk buckets stay compatible.
+//
+//oram:hotpath
+func (bc *BucketCipher) xorGeneric(body, out []byte) {
+	iv, ks := &bc.iv, &bc.ks
 	for off := 0; off < len(body); off += aes.BlockSize {
 		bc.block.Encrypt(ks[:], iv[:])
 		n := len(body) - off

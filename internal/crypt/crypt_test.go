@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -263,6 +264,128 @@ func TestPadMatchesStdlibCTR(t *testing.T) {
 	}
 }
 
+// padGeneric runs pad through the one-block-at-a-time loop whatever the
+// CPU, so tests can compare it with the kernel pad dispatches to.
+func padGeneric(bc *BucketCipher, bucketID, seed uint64, body, out []byte) {
+	bc.setIV(bucketID, seed)
+	bc.xorGeneric(body, out)
+}
+
+// stdlibPad is the reference keystream: cipher.NewCTR under the IV layout
+// bucketID (48 bits) || seed (48 bits) || counter (32 bits), built here
+// from shifts and masks rather than through setIV.
+func stdlibPad(t testing.TB, key []byte, scheme SeedScheme, bucketID, seed uint64, body []byte) []byte {
+	blk, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scheme == SeedGlobal {
+		bucketID = 0
+	}
+	const mask48 = SeedLimit - 1
+	var iv [16]byte
+	binary.BigEndian.PutUint64(iv[0:8], (bucketID&mask48)<<16|(seed&mask48)>>32)
+	binary.BigEndian.PutUint64(iv[8:16], (seed&mask48)<<32)
+	want := make([]byte, len(body))
+	cipher.NewCTR(blk, iv[:]).XORKeyStream(want, body)
+	return want
+}
+
+// checkPad compares pad (the kernel where the CPU has one), the generic
+// loop and cipher.NewCTR on one input.
+func checkPad(t testing.TB, scheme SeedScheme, bucketID, seed uint64, body []byte) {
+	key := testKey(7)
+	bc, err := NewBucketCipher(key, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stdlibPad(t, key, scheme, bucketID, seed, body)
+	got := make([]byte, len(body))
+	bc.pad(bucketID, seed, body, got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%v id=%#x seed=%#x n=%d: pad (kernel %v) diverges from cipher.NewCTR", scheme, bucketID, seed, len(body), hasKernel)
+	}
+	clear(got)
+	padGeneric(bc, bucketID, seed, body, got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%v id=%#x seed=%#x n=%d: generic loop diverges from cipher.NewCTR", scheme, bucketID, seed, len(body))
+	}
+}
+
+// TestKeystreamDifferential: the kernel, the generic loop and cipher.NewCTR
+// agree for both seed schemes, at every kernel tail shape (0-3 full blocks
+// after the 8- and 4-block calls, with and without a partial block), and at
+// seeds and bucket IDs where the 48-bit fields straddle the IV's 64-bit
+// halves or are truncated.
+func TestKeystreamDifferential(t *testing.T) {
+	t.Logf("amd64 kernel in use: %v", hasKernel)
+	lengths := []int{0, 1, 15, 16, 17, 127, 128, 129, 255, 256, 257, 324, 1000}
+	seeds := []uint64{1, 0x9999, 1<<32 - 1, 1 << 32, 1<<32 + 1, SeedLimit - 2, SeedLimit - 1, SeedLimit, 1<<64 - 1}
+	ids := []uint64{0, 0x1234, SeedLimit - 1, SeedLimit + 3}
+	for _, scheme := range []SeedScheme{SeedPerBucket, SeedGlobal} {
+		for _, n := range lengths {
+			body := make([]byte, n)
+			for i := range body {
+				body[i] = byte(i*31 + n)
+			}
+			for _, seed := range seeds {
+				for _, id := range ids {
+					checkPad(t, scheme, id, seed, body)
+				}
+			}
+		}
+	}
+}
+
+// TestKeystreamCounterCarry: unreachable from pad (its 32-bit chunk
+// counter starts at zero), but the kernel's counter must still carry
+// across its 64-bit limbs and wrap at 2^128 exactly as cipher.NewCTR's.
+// The low limb starts k blocks short of wrapping, for every k the
+// 1000-byte body reaches, so the carry lands in each lane of each kernel
+// call and on each boundary between calls.
+func TestKeystreamCounterCarry(t *testing.T) {
+	key := testKey(7)
+	blk, _ := aes.NewCipher(key)
+	bc, _ := NewBucketCipher(key, SeedGlobal)
+	body := make([]byte, 1000)
+	for i := range body {
+		body[i] = byte(i)
+	}
+	for k := uint64(1); k <= uint64(len(body)+aes.BlockSize-1)/aes.BlockSize; k++ {
+		lo := -k
+		for _, hi := range []uint64{0, 1<<64 - 1} {
+			var iv [16]byte
+			binary.BigEndian.PutUint64(iv[0:8], hi)
+			binary.BigEndian.PutUint64(iv[8:16], lo)
+			want := make([]byte, len(body))
+			cipher.NewCTR(blk, iv[:]).XORKeyStream(want, body)
+			for name, xor := range map[string]func(body, out []byte){
+				"kernel": bc.xorKeyStream, "generic": bc.xorGeneric,
+			} {
+				bc.iv = iv
+				got := make([]byte, len(body))
+				xor(body, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: counter %#x%016x: keystream diverges from cipher.NewCTR", name, hi, lo)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPad is TestKeystreamDifferential over fuzzer-chosen inputs.
+func FuzzPad(f *testing.F) {
+	f.Add(false, uint64(0x1234), uint64(0x9999), make([]byte, 324))
+	f.Add(true, uint64(0), uint64(1<<32-1), []byte("seed crosses the IV's 64-bit halves"))
+	f.Fuzz(func(t *testing.T, global bool, bucketID, seed uint64, body []byte) {
+		scheme := SeedPerBucket
+		if global {
+			scheme = SeedGlobal
+		}
+		checkPad(t, scheme, bucketID, seed, body)
+	})
+}
+
 // TestSealToOpenToReuse: the dst-based variants must reuse caller capacity,
 // round-trip, and agree with the allocating forms.
 func TestSealToOpenToReuse(t *testing.T) {
@@ -353,5 +476,23 @@ func TestSeedSchemeString(t *testing.T) {
 	}
 	if SeedScheme(9).String() == "" {
 		t.Fatal("unknown scheme should still print")
+	}
+}
+
+// BenchmarkSealOpen is one bucket's reseal plus reopen at the Path ORAM
+// body size for 64-byte blocks: Z=4 slots of a 17-byte header and the
+// block, 324 B.
+func BenchmarkSealOpen(b *testing.B) {
+	bc, _ := NewBucketCipher(testKey(7), SeedGlobal)
+	body := make([]byte, 324)
+	sealedBuf := make([]byte, 0, SeedBytes+len(body))
+	bodyBuf := make([]byte, 0, len(body))
+	b.SetBytes(int64(2 * len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		sealed := bc.SealTo(sealedBuf[:0], 3, 0, body)
+		if _, _, err := bc.OpenTo(bodyBuf[:0], 3, sealed); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -167,7 +168,11 @@ func (sh *shard) shutdown() {
 // empty and the backend has deamortized maintenance queued (bucket-hash
 // rebuild work), the owner runs bounded maintenance quanta — requests
 // always preempt at quantum granularity, so rebuilds drain off the
-// request path without ever blocking it.
+// request path without ever blocking it. The owner yields the processor
+// after each quantum: it never blocks while maintenance is pending, so
+// with as many busy shards as processors nothing else (submitters, the
+// transport) would run until the scheduler preempted one, up to 10 ms
+// later.
 func (sh *shard) run() {
 	batch := make([]request, 0, sh.window)
 	cache := make(map[uint64][]byte, sh.window)
@@ -179,6 +184,7 @@ func (sh *shard) run() {
 			case req, ok = <-sh.reqs:
 			default:
 				sh.maintainStep()
+				runtime.Gosched()
 				continue
 			}
 		} else {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -471,5 +472,41 @@ func TestQuarantineUnderTraffic(t *testing.T) {
 	manual = Aggregate(append([]freecursive.Stats{manual}, per[2:]...))
 	if agg.Accesses != manual.Accesses || agg.Violations != manual.Violations {
 		t.Fatalf("Aggregate not a fold: %+v vs %+v", agg, manual)
+	}
+}
+
+// TestMaintenanceYieldsBetweenQuanta: an owner with rebuild work pending
+// must give the processor back after each maintenance quantum. On one
+// processor, a caller whose Put just resolved then runs while work is
+// still pending, and a control op it sends sees MaintainPending. An owner
+// that ran quanta back to back until the work ran out (or the scheduler
+// preempted it, 10 ms later) shows the caller an idle backend every time.
+func TestMaintenanceYieldsBetweenQuanta(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := lightCfg(1, 1<<12)
+	cfg.ORAM.Backend = "bhoram"
+	cfg.ORAM.Scheme = freecursive.PIC
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sh := s.shards[0]
+	seen := 0
+	for i := uint64(0); i < 2000; i++ {
+		a := i * 7919 % s.Blocks()
+		if _, err := s.Put(a, val(a, s.BlockBytes())); err != nil {
+			t.Fatal(err)
+		}
+		pending := make(chan bool, 1)
+		sh.control(func(o *freecursive.ORAM) { pending <- o.MaintainPending() })
+		if <-pending {
+			seen++
+		}
+	}
+	// A yielding owner shows pending work after ≈90 of these Puts; one
+	// that does not, after none (a preemption can add a few).
+	if seen < 20 {
+		t.Fatalf("caller saw pending maintenance after %d of 2000 Puts; the owner does not yield between quanta", seen)
 	}
 }
